@@ -20,8 +20,6 @@ const char* PhaseName(Phase phase) {
       return "stage2_refine";
     case Phase::kFinalize:
       return "finalize";
-    case Phase::kSchedWait:
-      return "sched_wait";
   }
   return "unknown";
 }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "graph/snapshot.h"
 #include "util/logging.h"
@@ -32,12 +34,7 @@ QueryService::QueryService(std::shared_ptr<GraphStore> store,
       options_(options),
       cache_(options.cache_capacity, options.cache_shards) {
   CHECK(store_ != nullptr) << "a query service needs a graph store";
-  CHECK_GE(options_.num_workers, 1);
-  options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  last_seen_generation_.store(store_->generation(),
-                              std::memory_order_relaxed);
-  tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
-  RegisterMetrics();
+  Init(store_->generation());
 }
 
 QueryService::QueryService(std::shared_ptr<const dist::Cluster> cluster,
@@ -47,12 +44,7 @@ QueryService::QueryService(std::shared_ptr<const dist::Cluster> cluster,
       options_(options),
       cache_(options.cache_capacity, options.cache_shards) {
   CHECK(cluster_ != nullptr) << "a query service needs a cluster";
-  CHECK_GE(options_.num_workers, 1);
-  options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  last_seen_generation_.store(cluster_->generation(),
-                              std::memory_order_relaxed);
-  tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
-  RegisterMetrics();
+  Init(cluster_->generation());
 }
 
 QueryService::QueryService(std::shared_ptr<GraphStore> store, int num_gps,
@@ -64,14 +56,18 @@ QueryService::QueryService(std::shared_ptr<GraphStore> store, int num_gps,
       cache_(options.cache_capacity, options.cache_shards) {
   CHECK(store_ != nullptr) << "a query service needs a graph store";
   CHECK_GE(num_gps_, 1);
-  CHECK_GE(options_.num_workers, 1);
-  options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
   // Stripe the construction-time generation eagerly so the first queries
   // don't all pile up on the striping mutex.
   PinnedGraph pinned = store_->Pin();
   cluster_ = std::make_shared<const dist::Cluster>(pinned.graph, num_gps_,
                                                    pinned.generation);
-  last_seen_generation_.store(pinned.generation, std::memory_order_relaxed);
+  Init(pinned.generation);
+}
+
+void QueryService::Init(uint64_t generation) {
+  CHECK_GE(options_.num_workers, 1);
+  options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
+  last_seen_generation_.store(generation, std::memory_order_relaxed);
   tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
   RegisterMetrics();
 }
@@ -107,7 +103,7 @@ void QueryService::RegisterMetrics() {
   registrations_.push_back(registry.RegisterCallbackGauge(
       "rtr_serve_queue_depth", labels, [this] {
         std::lock_guard<std::mutex> lock(mu_);
-        return static_cast<double>(queue_.size() + sched_queue_.size());
+        return static_cast<double>(queue_.size());
       }));
   registrations_.push_back(registry.RegisterCounter(
       "rtr_sched_shed_overflow_total", labels, &shed_overflow_));
@@ -269,11 +265,10 @@ void QueryService::Shutdown() {
   workers_.clear();
   // Never-started services have no workers to drain the queue: complete the
   // admitted requests here so every accepted callback fires exactly once.
-  std::deque<Task> orphaned;
+  std::vector<Task> orphaned;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    orphaned.swap(queue_);
-    while (!sched_queue_.empty()) orphaned.push_back(sched_queue_.Pop());
+    while (!queue_.empty()) orphaned.push_back(queue_.Pop());
     if (started_ && frozen_elapsed_seconds_ < 0.0) {
       frozen_elapsed_seconds_ = uptime_.ElapsedSeconds();
     }
@@ -316,7 +311,7 @@ Status QueryService::SubmitAsync(ServeRequest request, DoneCallback done) {
       rejected_.Increment();
       return Status::Unavailable("service is shutting down");
     }
-    const size_t depth = sched.enabled ? sched_queue_.size() : queue_.size();
+    const size_t depth = queue_.size();
     if (depth >= options_.queue_capacity) {
       rejected_.Increment();
       shed_overflow_.Increment();
@@ -331,10 +326,13 @@ Status QueryService::SubmitAsync(ServeRequest request, DoneCallback done) {
             : 0.9 * mean_predicted_millis_ + 0.1 * task.predicted_millis;
     task.cost_class =
         ClassifyCost(task.predicted_millis, mean_predicted_millis_);
+    // FIFO admission keys every task alike, so the queue's sequence
+    // tie-break serves them in arrival order.
+    double key = 0.0;
     if (sched.enabled) {
       if (task.request.deadline_millis > 0.0) {
         const double completion = PredictedCompletionMillis(
-            sched_queue_.total_predicted_millis(), options_.num_workers,
+            queue_.total_predicted_millis(), options_.num_workers,
             task.predicted_millis);
         if (completion > task.request.deadline_millis) {
           rejected_.Increment();
@@ -351,15 +349,11 @@ Status QueryService::SubmitAsync(ServeRequest request, DoneCallback done) {
       if (task.effective_epsilon != task.request.params.epsilon) {
         eps_widened_.Increment();
       }
-      const double key =
-          PriorityKey(task.predicted_millis, arrival_clock_.ElapsedMillis(),
-                      sched.age_boost);
-      task.admitted.Restart();
-      sched_queue_.Push(key, task.predicted_millis, std::move(task));
-    } else {
-      task.admitted.Restart();
-      queue_.push_back(std::move(task));
+      key = PriorityKey(task.predicted_millis, arrival_clock_.ElapsedMillis(),
+                        sched.age_boost);
     }
+    task.admitted.Restart();
+    queue_.Push(key, task.predicted_millis, std::move(task));
     // Count inside the critical section so no observer ever sees a task
     // completed before it was accepted.
     accepted_.Increment();
@@ -384,130 +378,104 @@ StatusOr<ServeResponse> QueryService::Call(const ServeRequest& request) {
 }
 
 void QueryService::WorkerLoop() {
-  if (options_.scheduler.enabled) {
-    SchedWorkerLoop();
-    return;
-  }
   // The worker's reusable query arena: sized on the first query, then
   // allocation-free for the rest of the worker's life (DESIGN.md §7).
   core::QueryWorkspace workspace;
   // The worker's trace recorder, reused across queries; only wired into
   // the workspace while tracing is on.
   obs::TraceRecorder trace;
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and fully drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    ServeResponse response;
-    response.queue_millis = task.admitted.ElapsedMillis();
-    response.effective_epsilon = task.request.params.epsilon;
-    class_queue_wait_[static_cast<size_t>(task.cost_class)].Record(
-        response.queue_millis);
-    const bool traced = tracing_.load(std::memory_order_relaxed);
-    if (traced) {
-      trace.BeginQuery(static_cast<int64_t>(
-          next_query_id_.fetch_add(1, std::memory_order_relaxed)));
-      trace.AddSpan(obs::Phase::kQueueWait,
-                    static_cast<int64_t>(response.queue_millis * 1e6));
-      workspace.trace = &trace;
-    } else {
-      workspace.trace = nullptr;
-    }
-    Execute(task.request, &response, &workspace);
-    response.total_millis = task.admitted.ElapsedMillis();
-    if (traced) {
-      workspace.trace = nullptr;
-      RecordTrace(trace, response.total_millis);
-    }
-    latencies_.Record(response.total_millis);
-    if (response.total_millis > options_.slo_millis) {
-      slo_violations_.Increment();
-    }
-    if (!response.status.ok()) {
-      failed_.Increment();
-    }
-    completed_.Increment();
-    if (task.done) task.done(response);
-  }
-}
-
-void QueryService::SchedWorkerLoop() {
-  core::QueryWorkspace workspace;
-  obs::TraceRecorder trace;
+  const SchedulerOptions& sched = options_.scheduler;
+  // FIFO admission is the degenerate drain of one query per batch.
+  const size_t batch_size =
+      sched.enabled ? std::max<size_t>(1, sched.batch_size) : 1;
+  const size_t workers = static_cast<size_t>(options_.num_workers);
   std::vector<Task> batch;
-  batch.reserve(std::max<size_t>(1, options_.scheduler.batch_size));
+  batch.reserve(batch_size);
   for (;;) {
     batch.clear();
     {
       std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock,
-                     [this] { return stopping_ || !sched_queue_.empty(); });
-      if (sched_queue_.empty()) return;  // stopping and fully drained
+      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping and fully drained
       // Fair drain: take up to batch_size, but leave work behind for idle
       // peers — a worker only batches beyond one query when the queue is
       // deeper than the pool could cover one-each.
-      const size_t workers =
-          static_cast<size_t>(std::max(options_.num_workers, 1));
       const size_t take =
-          std::min(std::max<size_t>(1, options_.scheduler.batch_size),
-                   1 + (sched_queue_.size() - 1) / workers);
-      while (batch.size() < take && !sched_queue_.empty()) {
-        batch.push_back(sched_queue_.Pop());
-      }
+          std::min(batch_size, 1 + (queue_.size() - 1) / workers);
+      while (batch.size() < take) batch.push_back(queue_.Pop());
+    }
+    if (sched.enabled) {
+      batches_.Increment();
+      batched_queries_.Add(batch.size());
     }
     // One generation pin, observe-generation cache walk, and (in dist-live
     // mode) restripe check amortized over the whole batch; the workspace
     // stays warm across its queries, so a batch of repeats of one hot
     // query also reuses the teleport vector (core/workspace.h).
+    PinnedGraph pinned;
     std::shared_ptr<const dist::Cluster> cluster;
-    WallTimer pin_timer;
-    PinnedGraph pinned = PinForQuery(&cluster);
-    const double pin_millis = pin_timer.ElapsedMillis();
-    ObserveGeneration(pinned.generation);
-    batches_.Increment();
-    batched_queries_.Add(batch.size());
     for (Task& task : batch) {
-      RunScheduledTask(task, pinned, cluster, pin_millis, &workspace, &trace);
+      Execute(task, &pinned, &cluster, &workspace, &trace);
     }
   }
 }
 
-void QueryService::RunScheduledTask(
-    Task& task, const PinnedGraph& pinned,
-    const std::shared_ptr<const dist::Cluster>& cluster, double pin_millis,
-    core::QueryWorkspace* workspace, obs::TraceRecorder* trace) {
+void QueryService::Execute(Task& task, PinnedGraph* pinned,
+                           std::shared_ptr<const dist::Cluster>* cluster,
+                           core::QueryWorkspace* workspace,
+                           obs::TraceRecorder* trace) {
   ServeResponse response;
+  // Pickup for the batch's first task; later tasks also waited out the
+  // pin and the tasks ahead of them.
   response.queue_millis = task.admitted.ElapsedMillis();
   response.effective_epsilon = task.effective_epsilon;
-  response.predicted_millis = task.predicted_millis;
-  response.generation = pinned.generation;
+  if (options_.scheduler.enabled) {
+    response.predicted_millis = task.predicted_millis;
+  }
   class_queue_wait_[static_cast<size_t>(task.cost_class)].Record(
       response.queue_millis);
   const bool traced = tracing_.load(std::memory_order_relaxed);
   if (traced) {
     trace->BeginQuery(static_cast<int64_t>(
         next_query_id_.fetch_add(1, std::memory_order_relaxed)));
-    trace->AddSpan(obs::Phase::kSchedWait,
+    trace->AddSpan(obs::Phase::kQueueWait,
                    static_cast<int64_t>(response.queue_millis * 1e6));
-    trace->AddSpan(obs::Phase::kGenerationPin,
-                   static_cast<int64_t>(pin_millis * 1e6));
     workspace->trace = trace;
   } else {
     workspace->trace = nullptr;
   }
+  if (pinned->graph == nullptr) {
+    {
+      obs::ScopedSpan span(workspace->trace, obs::Phase::kGenerationPin);
+      *pinned = PinForQuery(cluster);
+    }
+    ObserveGeneration(pinned->generation);
+  }
+  response.generation = pinned->generation;
   // The widened epsilon is what actually runs — and what the cache keys
   // on, so a widened answer is never returned to a full-precision request
   // (or vice versa).
-  core::TopKParams effective_params = task.request.params;
-  effective_params.epsilon = task.effective_epsilon;
+  const Query& query = task.request.query;
+  core::TopKParams& params = task.request.params;
+  params.epsilon = task.effective_epsilon;
+  std::optional<CacheKey> key;
+  if (options_.enable_cache) {
+    key = CacheKey::Of(query, params, pinned->generation);
+    // The deep copy into the response happens here, outside the shard lock.
+    obs::ScopedSpan span(workspace->trace, obs::Phase::kCacheLookup);
+    if (std::shared_ptr<const core::TopKResult> hit = cache_.Lookup(*key)) {
+      response.topk = *hit;
+      response.cache_hit = true;
+    }
+  }
   double engine_millis = -1.0;
-  ExecutePinned(task.request.query, effective_params, pinned, cluster.get(),
-                &response, workspace, &engine_millis);
+  if (!response.cache_hit) {
+    WallTimer engine_timer;
+    response.status = RunEngine(query, params, *pinned->graph, cluster->get(),
+                                &response.topk, workspace);
+    engine_millis = engine_timer.ElapsedMillis();
+    if (key && response.status.ok()) cache_.Insert(*key, response.topk);
+  }
   response.total_millis = task.admitted.ElapsedMillis();
   if (traced) {
     workspace->trace = nullptr;
@@ -527,36 +495,6 @@ void QueryService::RunScheduledTask(
     cost_model_.Observe(task.features, engine_millis);
   }
   if (task.done) task.done(response);
-}
-
-void QueryService::ExecutePinned(const Query& query,
-                                 const core::TopKParams& params,
-                                 const PinnedGraph& pinned,
-                                 const dist::Cluster* cluster,
-                                 ServeResponse* response,
-                                 core::QueryWorkspace* workspace,
-                                 double* engine_millis) {
-  if (!options_.enable_cache) {
-    WallTimer engine_timer;
-    response->status = RunEngine(query, params, *pinned.graph, cluster,
-                                 &response->topk, workspace);
-    *engine_millis = engine_timer.ElapsedMillis();
-    return;
-  }
-  CacheKey key = CacheKey::Of(query, params, pinned.generation);
-  {
-    obs::ScopedSpan span(workspace->trace, obs::Phase::kCacheLookup);
-    if (std::shared_ptr<const core::TopKResult> hit = cache_.Lookup(key)) {
-      response->topk = *hit;
-      response->cache_hit = true;
-      return;
-    }
-  }
-  WallTimer engine_timer;
-  response->status = RunEngine(query, params, *pinned.graph, cluster,
-                               &response->topk, workspace);
-  *engine_millis = engine_timer.ElapsedMillis();
-  if (response->status.ok()) cache_.Insert(key, response->topk);
 }
 
 PinnedGraph QueryService::PinForQuery(
@@ -610,37 +548,6 @@ void QueryService::ObserveGeneration(uint64_t generation) {
       return;
     }
   }
-}
-
-void QueryService::Execute(const ServeRequest& request,
-                           ServeResponse* response,
-                           core::QueryWorkspace* workspace) {
-  std::shared_ptr<const dist::Cluster> cluster;
-  PinnedGraph pinned = [&] {
-    obs::ScopedSpan span(workspace->trace, obs::Phase::kGenerationPin);
-    return PinForQuery(&cluster);
-  }();
-  ObserveGeneration(pinned.generation);
-  response->generation = pinned.generation;
-  if (!options_.enable_cache) {
-    response->status = RunEngine(request.query, request.params, *pinned.graph,
-                                 cluster.get(), &response->topk, workspace);
-    return;
-  }
-  CacheKey key = CacheKey::Of(request.query, request.params,
-                              pinned.generation);
-  // The deep copy into the response happens here, outside the shard lock.
-  {
-    obs::ScopedSpan span(workspace->trace, obs::Phase::kCacheLookup);
-    if (std::shared_ptr<const core::TopKResult> hit = cache_.Lookup(key)) {
-      response->topk = *hit;
-      response->cache_hit = true;
-      return;
-    }
-  }
-  response->status = RunEngine(request.query, request.params, *pinned.graph,
-                               cluster.get(), &response->topk, workspace);
-  if (response->status.ok()) cache_.Insert(key, response->topk);
 }
 
 Status QueryService::RunEngine(const Query& query,

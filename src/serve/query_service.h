@@ -2,7 +2,9 @@
 #define RTR_SERVE_QUERY_SERVICE_H_
 
 // Concurrent query-serving subsystem (DESIGN.md §5): a fixed-size worker
-// pool drains a bounded admission queue of top-K RoundTripRank requests,
+// pool drains one bounded admission queue (serve/scheduler.h's
+// AdmissionQueue; FIFO unless the cost-model scheduler is on) of top-K
+// RoundTripRank requests,
 // fronting either the local 2SBound engine or the dist::Cluster replay
 // behind one API. Per-query latencies feed a util::LatencyHistogram for
 // p50/p95/p99 + QPS reporting, and results are memoized in a sharded LRU
@@ -33,7 +35,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -92,9 +93,9 @@ struct ServiceOptions {
   // of the columns (`rtr_cli serve --mmap`).
   MapMode map_mode = MapMode::kAuto;
   // Cost-model admission scheduling (serve/scheduler.h, DESIGN.md §11):
-  // priority queue ordered by predicted cost, batched worker drains,
-  // deadline shedding, adaptive epsilon. Disabled by default — the FIFO
-  // deque path is preserved byte for byte.
+  // queue order by predicted cost, batched worker drains, deadline
+  // shedding, adaptive epsilon. Disabled by default: the same queue and
+  // worker loop then serve FIFO, one query per drain.
   SchedulerOptions scheduler;
 };
 
@@ -104,7 +105,7 @@ struct ServeRequest {
   // Optional completion budget, measured from admission. With the
   // scheduler on, admission rejects (kUnavailable, counted in
   // shed_predicted) requests whose predicted completion exceeds this; 0
-  // means no deadline. The FIFO path ignores it.
+  // means no deadline. FIFO admission ignores it.
   double deadline_millis = 0.0;
 };
 
@@ -118,15 +119,17 @@ struct ServeResponse {
   // Graph generation the query was answered on (graph/store.h; 0 for
   // static graphs).
   uint64_t generation = 0;
-  // Time from admission to worker pickup, and to completion.
+  // Time from admission until the query started running (for later
+  // members of a scheduler batch: including the batch's generation pin and
+  // the queries ahead of it), and to completion.
   double queue_millis = 0.0;
   double total_millis = 0.0;
   // Epsilon the query actually ran (and cached) under. Equals the request
   // epsilon unless the scheduler widened it under load — clients can tell
   // precision was degraded instead of availability.
   double effective_epsilon = 0.0;
-  // The cost model's admission-time latency estimate (scheduler mode; 0 on
-  // the FIFO path).
+  // The cost model's admission-time latency estimate (scheduler mode; 0
+  // under FIFO admission).
   double predicted_millis = 0.0;
 };
 
@@ -154,7 +157,8 @@ struct ServiceStats {
   uint64_t cache_invalidations = 0;  // reclaimed after generation swaps
   // Scheduler-mode activity: queries that ran with a widened epsilon,
   // worker batch drains, and queries served through those drains
-  // (batched_queries / batches = achieved batch occupancy).
+  // (batched_queries / batches = achieved batch occupancy). All 0 under
+  // FIFO admission.
   uint64_t eps_widened = 0;
   uint64_t batches = 0;
   uint64_t batched_queries = 0;
@@ -283,38 +287,30 @@ class QueryService {
     CostClass cost_class = CostClass::kModerate;
   };
 
+  // Shared tail of every constructor: validates options_, seeds the
+  // observed generation and the tracing switch, registers the metrics.
+  void Init(uint64_t generation);
   // Each worker owns one core::QueryWorkspace (the per-query arena of
   // DESIGN.md §7) for its whole lifetime, so steady-state cache misses run
-  // the engine without O(num_nodes) allocation or zeroing.
+  // the engine without O(num_nodes) allocation or zeroing. A worker drains
+  // batches from queue_ (one task each under FIFO admission) and pins the
+  // generation once per batch.
   void WorkerLoop();
-  // Scheduler-mode worker loop: drains cost-ordered batches from
-  // sched_queue_, pinning the generation once per batch.
-  void SchedWorkerLoop();
-  // Runs one scheduled task on an already-pinned generation. pin_millis is
-  // the batch's (amortized) pin duration, attributed to each traced query.
-  void RunScheduledTask(Task& task, const PinnedGraph& pinned,
-                        const std::shared_ptr<const dist::Cluster>& cluster,
-                        double pin_millis, core::QueryWorkspace* workspace,
-                        obs::TraceRecorder* trace);
-  // Cache lookup + engine dispatch against a pre-pinned generation, with
-  // the caller's (possibly widened) params. Sets *engine_millis to the
-  // measured engine time, or leaves it negative on a cache hit.
-  void ExecutePinned(const Query& query, const core::TopKParams& params,
-                     const PinnedGraph& pinned, const dist::Cluster* cluster,
-                     ServeResponse* response, core::QueryWorkspace* workspace,
-                     double* engine_millis);
+  // Serves one task: cache lookup, engine dispatch on a miss, accounting,
+  // callback. The batch's first task finds *pinned empty and pins the
+  // generation (and, for kDistributed, *cluster) inside its own trace;
+  // later tasks reuse that pin.
+  void Execute(Task& task, PinnedGraph* pinned,
+               std::shared_ptr<const dist::Cluster>* cluster,
+               core::QueryWorkspace* workspace, obs::TraceRecorder* trace);
   // The currently published graph, for admission-time feature extraction
   // (degree lookups). Never blocks on a restripe.
   std::shared_ptr<const Graph> AdmissionGraph();
-  // Registers this service's series with the default metrics registry;
-  // called once from every non-delegating constructor.
+  // Registers this service's series with the default metrics registry.
   void RegisterMetrics();
   // Folds one traced query into the per-phase histograms and the
   // slowest-trace ring.
   void RecordTrace(const obs::TraceRecorder& trace, double total_millis);
-  // Cache lookup + engine dispatch; fills everything but the timing fields.
-  void Execute(const ServeRequest& request, ServeResponse* response,
-               core::QueryWorkspace* workspace);
   // Resolves the graph generation (and, for kDistributed, the cluster)
   // this query runs on. In dist-live mode this is where a new generation's
   // cluster gets striped.
@@ -348,11 +344,10 @@ class QueryService {
   // Held for the whole of Shutdown; see the comment there.
   std::mutex shutdown_mu_;
   std::condition_variable queue_cv_;
-  // Exactly one of these holds queued work: the FIFO deque (scheduler
-  // off — the original admission path, untouched) or the cost-ordered
-  // priority queue (scheduler on). Both under mu_.
-  std::deque<Task> queue_;
-  AdmissionQueue<Task> sched_queue_;
+  // Admitted, not yet picked-up work, under mu_. Keyed by predicted cost
+  // with the scheduler on; under FIFO admission every key is equal and
+  // the queue's sequence tie-break serves arrival order.
+  AdmissionQueue<Task> queue_;
   // Decayed mean of admission-time predictions; anchors the
   // cheap/moderate/heavy class split. Under mu_.
   double mean_predicted_millis_ = 0.0;
@@ -377,7 +372,7 @@ class QueryService {
   obs::Counter slo_violations_;
   // Scheduler series (rtr_sched_*): split rejection reasons, widened-
   // epsilon queries, batch drains. shed_overflow_ also counts FIFO-mode
-  // queue-full rejections so the reason split covers both paths.
+  // queue-full rejections so the reason split covers both modes.
   obs::Counter shed_overflow_;
   obs::Counter shed_predicted_;
   obs::Counter eps_widened_;

@@ -4,8 +4,8 @@
 // Cost-model admission scheduling for the serve path (DESIGN.md §11).
 //
 // This header holds the scheduling *policy* — pure, allocation-light,
-// deterministically testable pieces — and the priority admission queue that
-// replaces QueryService's FIFO deque when SchedulerOptions::enabled is set:
+// deterministically testable pieces — and the admission queue QueryService
+// serves from in both modes (FIFO is the all-keys-equal case):
 //
 //  * PriorityKey: shortest-predicted-job-first with an age-based
 //    anti-starvation boost. The trick is that the key is computed once at
@@ -32,7 +32,7 @@
 //  * AdmissionQueue<TaskT>: a min-key binary heap with FIFO sequence
 //    tie-break and a running sum of queued predicted cost (the backlog
 //    input to deadline shedding). Externally synchronized — QueryService
-//    operates it under the same mutex that guarded the FIFO deque.
+//    operates it under its admission mutex.
 
 #include <algorithm>
 #include <cstddef>
@@ -43,8 +43,11 @@
 namespace rtr::serve {
 
 struct SchedulerOptions {
-  // Master switch. Off preserves QueryService's FIFO admission path byte
-  // for byte — every pre-scheduler test pins the old behavior.
+  // Selects the admission policy, not a code path: QueryService runs one
+  // queue and one worker loop either way. Off is FIFO — every request
+  // queued under the same key (arrival order), one request per worker
+  // drain, no deadline shedding, no epsilon widening, and the fields below
+  // are ignored. On is the cost-model policy those fields configure.
   bool enabled = false;
   // Most queued requests one worker drains into a single workspace-warm
   // batch (one generation pin + cache-evict check amortized across them).

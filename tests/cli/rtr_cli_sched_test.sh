@@ -103,6 +103,15 @@ check "malformed deadline column exits 2" 2 $?
 check "--batch 0 exits 2" 2 $?
 "$CLI" serve --deadline-ms -1 > /dev/null 2>&1
 check "negative --deadline-ms exits 2" 2 $?
+# Scheduler-only knobs are refused without --scheduler instead of being
+# silently ignored by FIFO admission.
+"$CLI" serve --queries 4 --batch 4 > "$TMP/no_sched_batch.txt" 2>&1
+check "--batch without --scheduler exits 2" 2 $?
+"$CLI" serve --queries 4 --eps-band 0.05 --deadline-ms 100 \
+  > "$TMP/no_sched_knobs.txt" 2>&1
+check "--eps-band/--deadline-ms without --scheduler exit 2" 2 $?
+grep -q 'needs --scheduler' "$TMP/no_sched_knobs.txt"
+check "the refusal names the missing --scheduler" 0 $?
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails check(s) failed"

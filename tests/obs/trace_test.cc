@@ -17,7 +17,6 @@ TEST(TraceRecorderTest, PhaseNamesAreStableLabelValues) {
   EXPECT_STREQ(PhaseName(Phase::kStage1Expand), "stage1_expand");
   EXPECT_STREQ(PhaseName(Phase::kStage2Refine), "stage2_refine");
   EXPECT_STREQ(PhaseName(Phase::kFinalize), "finalize");
-  EXPECT_STREQ(PhaseName(Phase::kSchedWait), "sched_wait");
 }
 
 TEST(TraceRecorderTest, SpansNestWithExplicitDepths) {

@@ -1,10 +1,12 @@
 #include "serve/query_service.h"
 
 #include <atomic>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -594,7 +596,29 @@ TEST(QueryServiceTest, LiveSwapUnderConcurrentLoadStaysBitIdentical) {
   }
 }
 
-TEST(QueryServiceTest, TracedPhasesSumToAtMostTotalLatency) {
+// Depth-0 spans of one SlowestTraces() dump, as (start_us, dur_us) in
+// recording order.
+std::vector<std::pair<double, double>> TopLevelSpans(const std::string& json) {
+  std::vector<std::pair<double, double>> spans;
+  for (size_t at = json.find("\"depth\":"); at != std::string::npos;
+       at = json.find("\"depth\":", at + 1)) {
+    int depth = -1;
+    double start_us = 0.0;
+    double dur_us = 0.0;
+    if (std::sscanf(json.c_str() + at,
+                    "\"depth\":%d,\"start_us\":%lf,\"dur_us\":%lf", &depth,
+                    &start_us, &dur_us) == 3 &&
+        depth == 0) {
+      spans.emplace_back(start_us, dur_us);
+    }
+  }
+  return spans;
+}
+
+// Traced serving under FIFO admission and under the scheduler's batched
+// drains: one generation pin per drain, and every query's top-level phases
+// are disjoint segments of its life.
+void ExpectTracedPhasesFitTotalLatency(bool scheduler) {
   const Graph& graph = SharedNet().graph();
   std::vector<NodeId> stream = MixedQueryStream(graph, 30, 80, 21);
 
@@ -605,6 +629,8 @@ TEST(QueryServiceTest, TracedPhasesSumToAtMostTotalLatency) {
   options.cache_capacity = 64;
   options.enable_tracing = true;
   options.trace_keep = 5;
+  options.scheduler.enabled = scheduler;
+  options.scheduler.batch_size = 4;
   QueryService service(SharedGraphPtr(), options);
   ASSERT_TRUE(service.Start().ok());
   EXPECT_TRUE(service.tracing());
@@ -619,13 +645,14 @@ TEST(QueryServiceTest, TracedPhasesSumToAtMostTotalLatency) {
   service.Shutdown();
   ASSERT_EQ(done.load(), static_cast<int>(stream.size()));
 
-  // Every query passed through admission, pin, and the cache probe; only
-  // cache misses reach the engine phases.
+  // Every query passed through admission and the cache probe; the first
+  // query of each drain pinned the generation (FIFO drains one query at a
+  // time); only cache misses reach the engine phases.
   ServiceStats stats = service.stats();
   EXPECT_EQ(service.phase_latencies(obs::Phase::kQueueWait).Count(),
             stats.completed);
   EXPECT_EQ(service.phase_latencies(obs::Phase::kGenerationPin).Count(),
-            stats.completed);
+            scheduler ? stats.batches : stats.completed);
   EXPECT_EQ(service.phase_latencies(obs::Phase::kCacheLookup).Count(),
             stats.completed);
   EXPECT_EQ(service.phase_latencies(obs::Phase::kStage1Expand).Count(),
@@ -652,7 +679,25 @@ TEST(QueryServiceTest, TracedPhasesSumToAtMostTotalLatency) {
     EXPECT_EQ(json.front(), '{');
     EXPECT_NE(json.find("\"query_id\":"), std::string::npos);
     EXPECT_NE(json.find("\"queue_wait\":"), std::string::npos);
+    // No top-level span starts before the previous one ended. The dump
+    // rounds start and duration to 0.1us each, so the seam between two
+    // spans that share a clock read can read up to 0.15us apart.
+    std::vector<std::pair<double, double>> spans = TopLevelSpans(json);
+    ASSERT_GE(spans.size(), 2u) << json;
+    for (size_t i = 1; i < spans.size(); ++i) {
+      EXPECT_GE(spans[i].first + 0.15,
+                spans[i - 1].first + spans[i - 1].second)
+          << "span " << i << " overlaps its predecessor in " << json;
+    }
   }
+}
+
+TEST(QueryServiceTest, TracedPhasesSumToAtMostTotalLatency) {
+  ExpectTracedPhasesFitTotalLatency(/*scheduler=*/false);
+}
+
+TEST(QueryServiceTest, TracedPhasesSumToAtMostTotalLatencyScheduled) {
+  ExpectTracedPhasesFitTotalLatency(/*scheduler=*/true);
 }
 
 TEST(QueryServiceTest, TracingOffRecordsNothing) {

@@ -45,11 +45,12 @@
 // admission — shortest-predicted-job-first with batched worker drains of up
 // to --batch requests, deadline shedding (--deadline-ms gives every request
 // a completion budget; 0 = none), and adaptive epsilon up to --eps-band
-// under queue pressure. `--replay file` replaces the synthetic stream with
-// a recorded one: one record per line, `node [deadline_ms]`, `#` comments
-// and blank lines skipped. The deadline column is optional per record —
-// old node-only logs parse unchanged (records without it fall back to
-// --deadline-ms).
+// under queue pressure; --batch, --deadline-ms and --eps-band are refused
+// (exit 2) without --scheduler. `--replay file` replaces the synthetic
+// stream with a recorded one: one record per line, `node [deadline_ms]`,
+// `#` comments and blank lines skipped. The deadline column is optional
+// per record — old node-only logs parse unchanged (records without it fall
+// back to --deadline-ms).
 //
 // Observability (DESIGN.md §9): `serve` ends by printing the process-wide
 // metrics registry in the Prometheus-style text exposition — the SAME
@@ -672,8 +673,18 @@ int CmdServe(const Flags& flags) {
   options.cache_capacity = static_cast<size_t>(cache_capacity);
   options.slo_millis = flags.GetDouble("slo-ms", 50.0);
 
-  // Cost-model admission scheduling (serve/scheduler.h).
+  // Cost-model admission scheduling (serve/scheduler.h). Its knobs mean
+  // nothing under FIFO admission, so passing one without --scheduler is a
+  // usage error rather than a silent no-op.
   options.scheduler.enabled = flags.GetBool("scheduler");
+  if (!options.scheduler.enabled) {
+    for (const char* flag : {"batch", "eps-band", "deadline-ms"}) {
+      if (flags.Has(flag)) {
+        std::fprintf(stderr, "--%s needs --scheduler\n", flag);
+        return 2;
+      }
+    }
+  }
   int batch_size = flags.GetInt("batch", 8);
   if (batch_size < 1) {
     std::fprintf(stderr, "--batch must be >= 1\n");
